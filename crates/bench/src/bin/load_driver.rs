@@ -221,7 +221,7 @@ fn main() {
     let deadline = Instant::now() + duration;
     let started = Instant::now();
 
-    let (sql_stats, knn_stats, write_stats) = std::thread::scope(|s| {
+    let (sql_stats, knn_stats, write_stats, window_secs) = std::thread::scope(|s| {
         // Background refresher: fold landed writes into new generations
         // while the load runs, so sessions opened late see fresh data.
         let refresher = s.spawn(|| {
@@ -343,11 +343,14 @@ fn main() {
         let knn_stats: Vec<_> = knn_workers.into_iter().map(|h| h.join().expect("knn")).collect();
         let write_stats: Vec<_> =
             write_workers.into_iter().map(|h| h.join().expect("write")).collect();
+        // The window closes when the last client finishes. Joining the
+        // refresher can wait out a whole in-flight publish, which no
+        // client operation ran during, so it stays outside the rates.
+        let window_secs = started.elapsed().as_secs_f64();
         stop.store(true, Ordering::Release);
         refresher.join().expect("refresher");
-        (sql_stats, knn_stats, write_stats)
+        (sql_stats, knn_stats, write_stats, window_secs)
     });
-    let window_secs = started.elapsed().as_secs_f64();
 
     if durable {
         // Push any trailing partial group to disk before reporting.

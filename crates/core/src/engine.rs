@@ -238,6 +238,12 @@ impl Drop for Permit {
 /// captured under one read guard via
 /// [`EmbeddingService::refresh_observed`], so their write versions agree
 /// by construction).
+///
+/// The store clone is copy-on-write ([`Database`]'s `Clone`): pinning
+/// costs O(tables), and the generation shares every table's rows and
+/// indexes with the live database and with other generations. The first
+/// write to a table after a pin copies that one table, so the pinned view
+/// never moves; tables nobody writes are never copied.
 #[derive(Debug)]
 pub struct PinnedGeneration {
     snapshot: Arc<Snapshot>,
@@ -639,12 +645,17 @@ impl Engine {
         let (snapshot, store) = edb.service.refresh_observed(Database::clone)?;
         let generation = snapshot.generation();
         let pinned = Arc::new(PinnedGeneration { snapshot, store: Arc::new(store) });
-        let mut generations =
-            edb.generations.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        generations.push_back(pinned);
-        while generations.len() > self.config.generation_cache.max(1) {
-            generations.pop_front();
-        }
+        let evicted: Vec<_> = {
+            let mut generations =
+                edb.generations.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            generations.push_back(pinned);
+            let excess = generations.len().saturating_sub(self.config.generation_cache.max(1));
+            generations.drain(..excess).collect()
+        };
+        // Freeing an evicted generation (its snapshot, plus whatever store
+        // storage no newer generation shares) happens here, after the
+        // cache lock is released, so `Engine::session` never waits on it.
+        drop(evicted);
         Ok(generation)
     }
 

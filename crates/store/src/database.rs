@@ -80,6 +80,13 @@ impl Clone for Database {
     /// one WAL would interleave their records. (Observers — snapshots for
     /// equivalence tests, the refresh pipeline's working copies — clone
     /// freely and must not write to the original's log.)
+    ///
+    /// The clone costs O(tables), not O(rows): every [`Table`] shares its
+    /// rows and indexes with the original copy-on-write. Whichever side
+    /// writes a table first after the clone copies that one table's rows
+    /// and indexes once; tables neither side writes stay shared, and
+    /// dropping either side only decrements their reference counts. The
+    /// engine pins every published generation this way.
     fn clone(&self) -> Self {
         Self {
             tables: self.tables.clone(),
@@ -1330,5 +1337,229 @@ mod tests {
         assert_eq!(d.table("persons").unwrap().index_probe_text(name, "Amelie"), Some(&[0u32][..]));
         assert!(d.table("persons").unwrap().has_secondary_index(name));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Copy-on-write isolation: a clone shares every table's storage, and
+    /// each mutation path copies only the table it writes, on whichever
+    /// side writes it, leaving the other side's rows, PK lookups and index
+    /// probes exactly as they were.
+    mod copy_on_write {
+        use super::*;
+
+        /// persons ← movies ← reviews, every table carrying at least one
+        /// secondary index (declared or FK) so index sharing is visible.
+        fn fixture() -> Database {
+            let mut d = Database::new();
+            crate::sql::run_script(
+                &mut d,
+                "CREATE TABLE persons (id INTEGER PRIMARY KEY, name TEXT);
+                 CREATE TABLE movies (id INTEGER PRIMARY KEY, title TEXT,
+                                      director_id INTEGER REFERENCES persons(id));
+                 CREATE TABLE reviews (id INTEGER PRIMARY KEY,
+                                       movie_id INTEGER REFERENCES movies(id), text TEXT);",
+            )
+            .unwrap();
+            d.insert_many(
+                "persons",
+                (1..=5).map(|i| vec![Value::Int(i), Value::from(format!("p{i}"))]),
+            )
+            .unwrap();
+            d.insert_many(
+                "movies",
+                (10..=19).map(|i| {
+                    vec![Value::Int(i), Value::from(format!("t{}", i % 4)), Value::Int(i % 5 + 1)]
+                }),
+            )
+            .unwrap();
+            d.insert_many(
+                "reviews",
+                (30..=39).map(|i| {
+                    vec![Value::Int(i), Value::Int(10 + i % 10), Value::from(format!("r{}", i % 3))]
+                }),
+            )
+            .unwrap();
+            d.create_index("persons", "name").unwrap();
+            d.create_index("movies", "title").unwrap();
+            d
+        }
+
+        type TableDigest = (Vec<Vec<Value>>, Vec<Option<Vec<Value>>>, Vec<Option<Vec<u32>>>);
+
+        /// Everything a reader can observe of each table: its rows, PK
+        /// lookups over a key range covering every key the cases write, and
+        /// probes of every column with every value the cases write.
+        fn digest(d: &Database) -> Vec<(String, TableDigest)> {
+            let texts = (0..10)
+                .flat_map(|i| [format!("p{i}"), format!("t{i}"), format!("r{i}")])
+                .chain(["written".to_owned()])
+                .map(Value::from);
+            let probes: Vec<Value> = (-1..=60).map(Value::Int).chain(texts).collect();
+            d.tables()
+                .map(|t| {
+                    let pk = (-1..=60).map(|k| t.row_by_pk(k).map(<[Value]>::to_vec)).collect();
+                    let idx = (0..t.schema().columns.len())
+                        .flat_map(|col| probes.iter().map(move |v| (col, v)))
+                        .map(|(col, v)| t.index_probe(col, v).map(<[u32]>::to_vec))
+                        .collect();
+                    (t.name().to_owned(), (t.rows().to_vec(), pk, idx))
+                })
+                .collect()
+        }
+
+        /// (rows shared, indexes shared) between two versions of a table:
+        /// shared storage hands out the same row buffer and the same
+        /// posting-list buffers; a copy allocates new ones.
+        fn shares(a: &Table, b: &Table) -> (bool, bool) {
+            let col = a.secondary_index_columns()[0];
+            let key = &a.rows()[0][col];
+            let postings = |t: &Table| t.index_probe(col, key).unwrap().as_ptr();
+            (a.rows().as_ptr() == b.rows().as_ptr(), postings(a) == postings(b))
+        }
+
+        struct Case {
+            name: &'static str,
+            /// The one table the mutation writes.
+            table: &'static str,
+            /// False when only the table's indexes change.
+            copies_rows: bool,
+            run: fn(&mut Database),
+        }
+
+        fn row(id: i64, fk: i64, text: &str) -> Vec<Value> {
+            vec![Value::Int(id), Value::Int(fk), Value::from(text)]
+        }
+
+        const CASES: &[Case] = &[
+            Case {
+                name: "INSERT",
+                table: "movies",
+                copies_rows: true,
+                run: |d| {
+                    crate::sql::run(d, "INSERT INTO movies VALUES (50, 'written', 1)").unwrap();
+                },
+            },
+            Case {
+                name: "bulk commit",
+                table: "reviews",
+                copies_rows: true,
+                run: |d| {
+                    // Registering reviews also moves movies (its FK target)
+                    // into the loader; movies must come back still shared.
+                    let mut loader = d.bulk();
+                    let reviews = loader.table("reviews").unwrap();
+                    loader.stage(reviews, row(51, 10, "written")).unwrap();
+                    loader.stage(reviews, row(52, 11, "r1")).unwrap();
+                    loader.commit().unwrap();
+                },
+            },
+            Case {
+                name: "bulk rollback",
+                table: "reviews",
+                copies_rows: true,
+                run: |d| {
+                    let mut loader = d.bulk();
+                    let reviews = loader.table("reviews").unwrap();
+                    loader.stage(reviews, row(53, 10, "written")).unwrap();
+                    assert!(loader.stage(reviews, row(30, 10, "duplicate key")).is_err());
+                },
+            },
+            Case {
+                name: "DELETE",
+                table: "reviews",
+                copies_rows: true,
+                run: |d| {
+                    d.delete_rows("reviews", &[0, 3]).unwrap();
+                },
+            },
+            Case {
+                name: "UPDATE",
+                table: "movies",
+                copies_rows: true,
+                run: |d| {
+                    let updates = [(2, 1, Value::from("written")), (3, 2, Value::Int(5))];
+                    d.update_rows("movies", &updates).unwrap();
+                },
+            },
+            Case {
+                name: "table_mut + set_rows",
+                table: "persons",
+                copies_rows: true,
+                run: |d| {
+                    let rows = (1..=5).map(|i| vec![Value::Int(i), Value::from("written")]);
+                    d.table_mut("persons").unwrap().set_rows(rows.collect());
+                },
+            },
+            Case {
+                name: "table_mut + update_cell",
+                table: "movies",
+                copies_rows: true,
+                run: |d| {
+                    d.table_mut("movies")
+                        .unwrap()
+                        .update_cell(0, 1, Value::from("written"))
+                        .unwrap();
+                },
+            },
+            Case {
+                name: "create_index",
+                table: "reviews",
+                copies_rows: false,
+                run: |d| {
+                    assert!(d.create_index("reviews", "text").unwrap());
+                },
+            },
+            Case {
+                name: "WAL replay",
+                table: "movies",
+                copies_rows: true,
+                run: |d| {
+                    let movie = vec![Value::Int(54), Value::from("written"), Value::Int(2)];
+                    d.apply(WalEntry::Insert { table: "movies".into(), row: movie }).unwrap();
+                    let updates = vec![(0, 1, Value::from("t3"))];
+                    d.apply(WalEntry::Update { table: "movies".into(), updates }).unwrap();
+                    let rows = d.table("movies").unwrap().rows()[1..].to_vec();
+                    d.apply(WalEntry::TableState { table: "movies".into(), rows }).unwrap();
+                },
+            },
+        ];
+
+        #[test]
+        fn a_clone_shares_every_table() {
+            let original = fixture();
+            let clone = original.clone();
+            assert_eq!(digest(&clone), digest(&original));
+            for t in original.tables() {
+                assert_eq!(shares(t, clone.table(t.name()).unwrap()), (true, true), "{}", t.name());
+            }
+        }
+
+        #[test]
+        fn each_write_copies_only_its_table_on_either_side() {
+            for case in CASES {
+                let mut reference = fixture();
+                (case.run)(&mut reference);
+                let expected = digest(&reference);
+                for write_the_clone in [false, true] {
+                    let original = fixture();
+                    let clone = original.clone();
+                    let before = digest(&original);
+                    let (mut written, untouched) =
+                        if write_the_clone { (clone, original) } else { (original, clone) };
+                    (case.run)(&mut written);
+                    let side = if write_the_clone { "clone written" } else { "original written" };
+                    assert_eq!(digest(&untouched), before, "{} ({side})", case.name);
+                    assert_eq!(digest(&written), expected, "{} ({side})", case.name);
+                    for t in untouched.tables() {
+                        let shared = shares(t, written.table(t.name()).unwrap());
+                        let want = if t.name() == case.table {
+                            (!case.copies_rows, false)
+                        } else {
+                            (true, true)
+                        };
+                        assert_eq!(shared, want, "{} ({side}): table {}", case.name, t.name());
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! A single table: schema + rows + its [`IndexSet`](crate::index).
 
+use std::sync::Arc;
+
 use crate::error::StoreError;
 use crate::index::IndexSet;
 use crate::schema::TableSchema;
@@ -14,18 +16,25 @@ use crate::Result;
 /// [`crate::Database::create_index`]) map values to sorted posting lists
 /// of row positions. Full-column scans — RETRO's bulk access pattern —
 /// are served by [`Table::column_values`] / [`Table::rows`].
+///
+/// Rows and indexes are copy-on-write: each sits behind an `Arc`, so
+/// cloning a table (and therefore a [`crate::Database`]) bumps two
+/// reference counts instead of copying data. Every mutating method goes
+/// through `Arc::make_mut`, so the first write to a table whose storage
+/// is shared with a clone copies that table's rows (or indexes) once;
+/// later writes land in place until the next clone.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: TableSchema,
-    rows: Vec<Vec<Value>>,
-    indexes: IndexSet,
+    rows: Arc<Vec<Vec<Value>>>,
+    indexes: Arc<IndexSet>,
 }
 
 impl Table {
     /// Create an empty table for `schema`.
     pub fn new(schema: TableSchema) -> Self {
-        let indexes = IndexSet::new(schema.primary_key);
-        Self { schema, rows: Vec::new(), indexes }
+        let indexes = Arc::new(IndexSet::new(schema.primary_key));
+        Self { schema, rows: Arc::default(), indexes }
     }
 
     /// The table's schema.
@@ -132,7 +141,11 @@ impl Table {
     /// for recovery.
     pub(crate) fn create_secondary_index(&mut self, col: usize) -> Result<bool> {
         let int_keyed = self.indexable_key_type(col)?;
-        Ok(self.indexes.create_secondary(col, int_keyed, &self.rows))
+        // Checked before `make_mut`, so a no-op does not copy shared indexes.
+        if self.indexes.has_secondary(col) {
+            return Ok(false);
+        }
+        Ok(Arc::make_mut(&mut self.indexes).create_secondary(col, int_keyed, &self.rows))
     }
 
     /// Iterator over the values of one column (by index).
@@ -212,16 +225,16 @@ impl Table {
     /// the indexes coherent.
     pub(crate) fn push_unchecked(&mut self, row: Vec<Value>) -> usize {
         let pos = self.rows.len();
-        self.indexes.note_append(&row, pos);
-        self.rows.push(row);
+        Arc::make_mut(&mut self.indexes).note_append(&row, pos);
+        Arc::make_mut(&mut self.rows).push(row);
         pos
     }
 
     /// Pre-size the row store and primary-key index for `additional` more
     /// rows, so a bulk load appends without reallocation.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.rows.reserve(additional);
-        self.indexes.reserve_pk(additional);
+        Arc::make_mut(&mut self.rows).reserve(additional);
+        Arc::make_mut(&mut self.indexes).reserve_pk(additional);
     }
 
     /// Drop every row at position `len` and beyond, pruning the removed
@@ -233,8 +246,8 @@ impl Table {
         if len >= self.rows.len() {
             return;
         }
-        self.indexes.note_truncate(&self.rows[len..], len);
-        self.rows.truncate(len);
+        Arc::make_mut(&mut self.indexes).note_truncate(&self.rows[len..], len);
+        Arc::make_mut(&mut self.rows).truncate(len);
     }
 
     /// Remove the rows at the given (sorted, deduplicated) positions and
@@ -248,8 +261,8 @@ impl Table {
             }
         }
         let mut iter = keep.iter();
-        self.rows.retain(|_| *iter.next().expect("keep mask aligned"));
-        self.indexes.rebuild(&self.rows);
+        Arc::make_mut(&mut self.rows).retain(|_| *iter.next().expect("keep mask aligned"));
+        Arc::make_mut(&mut self.indexes).rebuild(&self.rows);
     }
 
     /// Replace the table's entire row set and rebuild the indexes. WAL
@@ -257,8 +270,8 @@ impl Table {
     /// records the post-edit state wholesale, so recovery installs it
     /// wholesale.
     pub(crate) fn set_rows(&mut self, rows: Vec<Vec<Value>>) {
-        self.rows = rows;
-        self.indexes.rebuild(&self.rows);
+        self.rows = Arc::new(rows);
+        Arc::make_mut(&mut self.indexes).rebuild(&self.rows);
     }
 
     /// Update one cell in place (used by imputation examples to write
@@ -282,8 +295,8 @@ impl Table {
                 got: value.data_type().map_or_else(|| "NULL".into(), |t| t.to_string()),
             });
         }
-        let old = std::mem::replace(&mut self.rows[row][col], value);
-        self.indexes.note_cell_update(col, &old, &self.rows[row][col], row);
+        let old = std::mem::replace(&mut Arc::make_mut(&mut self.rows)[row][col], value);
+        Arc::make_mut(&mut self.indexes).note_cell_update(col, &old, &self.rows[row][col], row);
         Ok(())
     }
 }

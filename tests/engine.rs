@@ -373,3 +373,98 @@ fn nearest_is_bit_identical_to_the_exact_oracle_even_after_recovery() {
     }
     check_session(&restarted_fresh);
 }
+
+/// A session pinned before a burst of writes and a refresh keeps
+/// answering from its own generation. Its store shares every table with
+/// the live database until the first write, so each write path must copy
+/// the rows *and* the indexes it touches: an index shared but not copied
+/// would make the planned answers drift from the forced-scan oracle over
+/// the pinned rows, or from what the session answered before the burst.
+#[test]
+fn a_pinned_session_keeps_its_indexes_through_writes_and_refresh() {
+    let rounds = stress_rounds(3) as i64;
+    let n_movies = 8 * rounds;
+    let mut db = Database::new();
+    populate(&mut db, n_movies as usize);
+    db.create_index("movies", "title").unwrap();
+    let engine = Engine::with_defaults();
+    engine.register("tmdb", SharedDatabase::new(db), base(), config()).unwrap();
+
+    let mut queries = Vec::new();
+    for id in [0, 1, n_movies - 1] {
+        queries.push(format!("SELECT id, title FROM movies WHERE id = {id}"));
+        queries.push(format!(
+            "SELECT id, director_id FROM movies WHERE title = '{}'",
+            movie_title(id)
+        ));
+        queries.push(format!(
+            "SELECT m.id, m.title, p.name FROM movies m JOIN persons p \
+             ON m.director_id = p.id WHERE p.id = {}",
+            id % 4
+        ));
+    }
+    let explain = format!("EXPLAIN SELECT id FROM movies WHERE title = '{}'", movie_title(0));
+    // Planned answers, each checked against the forced scan on the same
+    // session's pinned store.
+    let answers = |session: &retro::core::Session| -> Vec<Vec<Vec<Value>>> {
+        queries
+            .iter()
+            .map(|q| {
+                let planned = session.query(q).unwrap().rows;
+                let scanned = session.query_with(q, PlanMode::ForceScan).unwrap().rows;
+                assert_eq!(planned, scanned, "planned != ForceScan for `{q}`");
+                assert!(!planned.is_empty(), "`{q}` must match rows");
+                planned
+            })
+            .collect()
+    };
+
+    let pinned = engine.session("tmdb").unwrap();
+    let plan = pinned.query(&explain).unwrap().rows;
+    assert!(
+        plan.iter().any(|row| row[0].to_string().contains("index lookup")),
+        "the title probe must use the declared index: {plan:?}"
+    );
+    let before = answers(&pinned);
+    let pinned_version = pinned.write_version();
+    let live = engine.service("tmdb").unwrap().database().clone();
+
+    // The burst moves every indexed column the queries read: new rows,
+    // retitled rows (title index), re-pointed FKs (director_id index),
+    // and a deletion that renumbers every later row. Ids equal positions
+    // until the deletion.
+    for round in 0..rounds {
+        engine.execute("tmdb", &insert_sql(5_000 + round)).unwrap();
+        engine
+            .execute(
+                "tmdb",
+                &format!(
+                    "UPDATE movies SET title = '{}' WHERE id = {round}",
+                    movie_title(7_000 + round)
+                ),
+            )
+            .unwrap();
+        // SQL cannot assign a foreign key; the store API can.
+        let position = (n_movies - 1 - round) as usize;
+        let director = Value::Int((round + 1) % 4);
+        live.with_write(|db| db.update_rows("movies", &[(position, 2, director)])).unwrap();
+    }
+    engine.execute("tmdb", "DELETE FROM movies WHERE id = 2").unwrap();
+    engine.refresh("tmdb").unwrap();
+
+    assert_eq!(pinned.write_version(), pinned_version);
+    assert_eq!(pinned.store().table("movies").unwrap().len(), n_movies as usize);
+    assert_eq!(answers(&pinned), before, "the pinned generation must not move");
+
+    // A fresh session sees the burst, and its planner agrees with the
+    // scan over the new rows too.
+    let fresh = engine.session("tmdb").unwrap();
+    assert_eq!(fresh.store().table("movies").unwrap().len(), (n_movies + rounds - 1) as usize);
+    let title = format!("SELECT id FROM movies WHERE title = '{}'", movie_title(7_000));
+    assert_eq!(fresh.query(&title).unwrap().rows, vec![vec![Value::Int(0)]]);
+    assert_eq!(
+        fresh.query(&title).unwrap().rows,
+        fresh.query_with(&title, PlanMode::ForceScan).unwrap().rows
+    );
+    assert!(pinned.query(&title).unwrap().rows.is_empty());
+}
